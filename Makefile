@@ -21,15 +21,14 @@ fmt-check:
 
 # Race-check the concurrent packages: the sweep runner's worker pool,
 # the metrics instruments it samples, the trace-enabled machine tests,
-# the parallel sharded and staged-compilation engines (including the
-# full differential suite replayed on both inside ./internal/harness/),
 # and the multi-NPU cluster scheduler's shared balancer and epoch
-# barriers. The second leg re-runs the engine determinism tests at
-# several GOMAXPROCS settings so shard scheduling is exercised under
+# barriers. The second leg re-runs the harness determinism tests — the
+# code that still fans work out across goroutines — at several
+# GOMAXPROCS settings, so reports are checked byte-identical under
 # contention and on a single P.
 race:
 	$(GO) test -race ./internal/harness/ ./internal/metrics/ ./internal/ixp/ ./internal/cluster/
-	$(GO) test -race -cpu 1,2,8 -run 'TestParallel|TestEngine|TestCompiled' ./internal/ixp/
+	$(GO) test -race -cpu 1,2,8 -run 'TestSweepDeterminism|TestClusterDeterminism|TestLoadLatencyDeterminism|TestChurnDeterminism' ./internal/harness/
 
 # The dynamic-control-plane gate, run explicitly (and with -count=1, so
 # a cached `test` result can never mask a regression): SWC delayed-update
@@ -60,16 +59,12 @@ fuzz-ci: build
 	@test -s fuzz_report.json && echo "fuzz-ci: report OK"
 
 # Host-performance benchmark suite → BENCH_sim.json (ns/op, B/op,
-# allocs/op and custom metrics per benchmark). BenchmarkSimulator fans
-# out into serial, parallel-shards=N, compiled and compiled-shards=N
-# sub-benchmarks (BenchmarkFigure6 into serial and compiled), recorded
-# as separate entries (with engine/shards fields) so the engines'
-# numbers are never merged. CI uploads the file as an artifact so
-# simulator throughput is comparable per commit.
+# allocs/op and custom metrics per benchmark). CI uploads the file as an
+# artifact so simulator throughput is comparable per commit.
 bench: build
 	$(GO) test -run xxx -bench 'BenchmarkSimulator$$|BenchmarkCluster$$|BenchmarkFigure6$$|BenchmarkCompiler$$' \
 		-benchmem . > /tmp/bench_raw.txt
-	$(GO) test -run xxx -bench 'BenchmarkEventCore$$|BenchmarkTracerOverhead|BenchmarkEngineALU' \
+	$(GO) test -run xxx -bench 'BenchmarkEventCore$$|BenchmarkTracerOverhead' \
 		-benchmem ./internal/ixp/ >> /tmp/bench_raw.txt
 	@cat /tmp/bench_raw.txt
 	$(GO) run ./cmd/benchjson < /tmp/bench_raw.txt > BENCH_sim.json

@@ -26,7 +26,6 @@ import (
 	"shangrila/internal/apps"
 	"shangrila/internal/driver"
 	"shangrila/internal/harness"
-	"shangrila/internal/ixp"
 )
 
 func benchCfg() harness.RunConfig {
@@ -38,28 +37,22 @@ func benchCfg() harness.RunConfig {
 
 // BenchmarkFigure6 regenerates the memory micro-experiment: forwarding
 // rate vs. memory accesses per 64-byte packet for each level and width,
-// six MEs running a pure access loop. The sweep runs once per engine —
-// the points are bit-identical across engines, so the sub-benchmarks
-// compare host wall-clock for the same simulation.
+// six MEs running a pure access loop.
 func BenchmarkFigure6(b *testing.B) {
-	run := func(b *testing.B, engine ixp.EngineSpec) {
-		var last []harness.Fig6Point
-		for i := 0; i < b.N; i++ {
-			pts, err := harness.Figure6Engine(50_000, 300_000, engine)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = pts
+	var last []harness.Fig6Point
+	for i := 0; i < b.N; i++ {
+		pts, err := harness.Figure6(50_000, 300_000)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Log("\n" + harness.FormatFigure6(last))
-		for _, p := range last {
-			if p.Accesses == 2 && p.Bytes == 8 {
-				b.ReportMetric(p.Gbps, "Gbps@dram8Bx2")
-			}
+		last = pts
+	}
+	b.Log("\n" + harness.FormatFigure6(last))
+	for _, p := range last {
+		if p.Accesses == 2 && p.Bytes == 8 {
+			b.ReportMetric(p.Gbps, "Gbps@dram8Bx2")
 		}
 	}
-	b.Run("serial", func(b *testing.B) { run(b, nil) })
-	b.Run("compiled", func(b *testing.B) { run(b, ixp.EngineCompiled{}) })
 }
 
 // BenchmarkTable1 regenerates the per-packet dynamic memory access table
@@ -141,12 +134,7 @@ func BenchmarkCompiler(b *testing.B) {
 }
 
 // BenchmarkSimulator measures raw simulation speed (cycles simulated per
-// wall second) on the optimized L3-Switch: the serial interpreter, the
-// parallel sharded engine at several shard counts, the staged-compilation
-// engine, and the compiled+sharded composition. The engines are
-// bit-identical, so the sub-benchmarks measure the same simulation; the
-// engine variant is encoded in the sub-benchmark name (not the GOMAXPROCS
-// suffix) so benchjson keys each entry as its own series.
+// wall second) on the optimized L3-Switch.
 func BenchmarkSimulator(b *testing.B) {
 	a := apps.L3Switch()
 	res, err := harness.Compile(a, driver.LevelSWC, 7)
@@ -154,33 +142,16 @@ func BenchmarkSimulator(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := benchCfg()
-	run := func(b *testing.B, engine ixp.EngineSpec) {
-		opts := append(cfg.Options(), harness.WithCompiled(res))
-		if engine != nil {
-			opts = append(opts, harness.WithEngine(engine))
+	opts := append(cfg.Options(), harness.WithCompiled(res))
+	b.ResetTimer()
+	var cycles int64
+	for i := 0; i < b.N; i++ {
+		if _, err := harness.Run(a, opts...); err != nil {
+			b.Fatal(err)
 		}
-		b.ResetTimer()
-		var cycles int64
-		for i := 0; i < b.N; i++ {
-			r, err := harness.Run(a, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = r
-			cycles += cfg.Warmup + cfg.Measure
-		}
-		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
+		cycles += cfg.Warmup + cfg.Measure
 	}
-	b.Run("serial", func(b *testing.B) { run(b, nil) })
-	for _, shards := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("parallel-shards=%d", shards), func(b *testing.B) {
-			run(b, ixp.EngineParallel{Shards: shards})
-		})
-	}
-	b.Run("compiled", func(b *testing.B) { run(b, ixp.EngineCompiled{}) })
-	b.Run("compiled-shards=4", func(b *testing.B) {
-		run(b, ixp.EngineCompiled{Shards: 4})
-	})
+	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
 }
 
 // BenchmarkCluster measures the multi-NPU line-card simulation: the

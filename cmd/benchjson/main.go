@@ -27,15 +27,9 @@ type Benchmark struct {
 	BytesPerOp  int64              `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64              `json:"allocs_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
-	// Engine and Shards are parsed from engine-variant sub-benchmark
-	// names ("…/serial", "…/parallel-shards=4", "…/compiled",
-	// "…/compiled-shards=4") so simulator numbers from different engines
-	// are never compared as one series. Chips is parsed from cluster
-	// sub-benchmarks ("…/chips=4") — the multi-NPU line-card size, a
-	// different series per chip count.
-	Engine string `json:"engine,omitempty"`
-	Shards int    `json:"shards,omitempty"`
-	Chips  int    `json:"chips,omitempty"`
+	// Chips is parsed from cluster sub-benchmarks ("…/chips=4") — the
+	// multi-NPU line-card size, a different series per chip count.
+	Chips int `json:"chips,omitempty"`
 	// GOMAXPROCS is the per-benchmark parallelism testing encodes in the
 	// name suffix ("BenchmarkFoo-8"); NumCPU is the host's logical CPU
 	// count. Recorded per entry so a number measured on a loaded 4-core
@@ -113,23 +107,8 @@ func parseLine(line, pkg string) (Benchmark, bool) {
 	b := Benchmark{Name: name, Package: pkg, Iterations: iters,
 		GOMAXPROCS: procs, NumCPU: runtime.NumCPU()}
 	for _, elem := range strings.Split(name, "/")[1:] {
-		switch {
-		case elem == "serial":
-			b.Engine = "serial"
-		case elem == "compiled":
-			b.Engine = "compiled"
-		case strings.HasPrefix(elem, "parallel-shards="):
-			if n, err := strconv.Atoi(strings.TrimPrefix(elem, "parallel-shards=")); err == nil {
-				b.Engine = "parallel"
-				b.Shards = n
-			}
-		case strings.HasPrefix(elem, "compiled-shards="):
-			if n, err := strconv.Atoi(strings.TrimPrefix(elem, "compiled-shards=")); err == nil {
-				b.Engine = "compiled"
-				b.Shards = n
-			}
-		case strings.HasPrefix(elem, "chips="):
-			if n, err := strconv.Atoi(strings.TrimPrefix(elem, "chips=")); err == nil {
+		if c, ok := strings.CutPrefix(elem, "chips="); ok {
+			if n, err := strconv.Atoi(c); err == nil {
 				b.Chips = n
 			}
 		}

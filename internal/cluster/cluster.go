@@ -27,11 +27,10 @@ import (
 
 // ChipConfig shapes one NPU in the cluster. The zero value gives the
 // default machine (rts resolves a zero Cfg to ixp.DefaultConfig) with
-// one packet-processing ME and the serial engine.
+// one packet-processing ME.
 type ChipConfig struct {
 	NumMEs int
-	Cfg    ixp.Config     // zero value = calibrated IXP2400 defaults
-	Engine ixp.EngineSpec // nil = serial; per-chip EngineParallel is allowed
+	Cfg    ixp.Config // zero value = calibrated IXP2400 defaults
 }
 
 // DrainPlan takes one chip out of the ECMP set mid-run: the balancer
@@ -109,8 +108,6 @@ type Topology struct {
 type ChipResult struct {
 	Chip        int                       `json:"chip"`
 	MEs         int                       `json:"mes"`
-	Engine      string                    `json:"engine"`
-	Shards      int                       `json:"shards,omitempty"`
 	Drained     bool                      `json:"drained,omitempty"`
 	GoodputGbps float64                   `json:"goodput_gbps"`
 	TxPackets   uint64                    `json:"tx_packets"`
@@ -183,7 +180,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: drain chip %d out of range (have %d chips)", d.Chip, len(cfg.Chips))
 	}
 	// The cluster timeline is in cycles, so every chip must tick at one
-	// clock rate (heterogeneity lives in ME counts, engines, memory
+	// clock rate (heterogeneity lives in ME counts and memory
 	// parameters).
 	clock := 0.0
 	for i, cc := range cfg.Chips {
@@ -220,7 +217,7 @@ func New(cfg Config) (*Cluster, error) {
 			numMEs = 1
 		}
 		rt, err := rts.New(cfg.Image, cfg.Prog, cfg.Trace, rts.Options{
-			NumMEs: numMEs, Cfg: cc.Cfg, Engine: cc.Engine, Media: port,
+			NumMEs: numMEs, Cfg: cc.Cfg, Media: port,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: chip %d: %w", i, err)
@@ -354,13 +351,10 @@ func (c *Cluster) Measure() (*Result, error) {
 	routed := c.bal.Routed()
 	for i, ch := range c.chips {
 		snap := ch.rt.M.Snapshot()
-		engName, engShards := ch.rt.M.EngineInfo()
 		drained := c.cfg.Drain != nil && c.cfg.Drain.Chip == i
 		cr := ChipResult{
 			Chip:        i,
 			MEs:         len(ch.rt.M.MEs),
-			Engine:      engName,
-			Shards:      engShards,
 			Drained:     drained,
 			GoodputGbps: snap.Gbps(c.clockMHz),
 			TxPackets:   snap.TxPackets,

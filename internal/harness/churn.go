@@ -73,8 +73,6 @@ type ChurnResult struct {
 	Level  string `json:"level"`
 	NumMEs int    `json:"num_mes"`
 	Seed   uint64 `json:"seed"`
-	Engine string `json:"engine"`
-	Shards int    `json:"shards,omitempty"`
 
 	Churn    workload.ChurnSpec `json:"churn"`
 	Workload workload.Spec      `json:"workload"`
@@ -251,7 +249,7 @@ func ChurnRun(a *apps.App, opts ...Option) (*ChurnResult, error) {
 		cfg.Metrics = s.metricsReg
 	}
 	rt, err := rts.New(res.Image, res.Prog, trc, rts.Options{
-		NumMEs: s.run.NumMEs, Cfg: cfg, Workload: &wsp, Engine: s.engine,
+		NumMEs: s.run.NumMEs, Cfg: cfg, Workload: &wsp,
 	})
 	if err != nil {
 		return nil, err
@@ -271,14 +269,11 @@ func ChurnRun(a *apps.App, opts ...Option) (*ChurnResult, error) {
 	}
 	st := rt.ScheduleUpdates(ups)
 
-	engName, engShards := rt.M.EngineInfo()
 	out := &ChurnResult{
 		App:      a.Name,
 		Level:    res.Report.Level.String(),
 		NumMEs:   s.run.NumMEs,
 		Seed:     s.run.Seed,
-		Engine:   engName,
-		Shards:   engShards,
 		Churn:    csp,
 		Workload: wsp,
 	}

@@ -72,8 +72,8 @@ type ClusterResult struct {
 }
 
 // ClusterRun compiles (unless WithCompiled) and measures one multi-NPU
-// cluster: p.Chips identical chips (WithMEs engines each, WithEngine's
-// simulation engine) behind the flow-hash balancer, warmed and measured
+// cluster: p.Chips identical chips (WithMEs engines each) behind the
+// flow-hash balancer, warmed and measured
 // over the WithWindows cycles. WithWorkers sets how many chips advance
 // concurrently — results are bit-identical at any value, and a one-chip
 // cluster with zero fabric latency is bit-identical to the plain
@@ -108,7 +108,7 @@ func ClusterRun(a *apps.App, p ClusterParams, opts ...Option) (*ClusterResult, e
 
 	chips := make([]cluster.ChipConfig, p.Chips)
 	for i := range chips {
-		chips[i] = cluster.ChipConfig{NumMEs: s.run.NumMEs, Engine: s.engine}
+		chips[i] = cluster.ChipConfig{NumMEs: s.run.NumMEs}
 	}
 	var drain *cluster.DrainPlan
 	if p.DrainChip >= 0 {

@@ -8,7 +8,6 @@ import (
 	"shangrila/internal/apps"
 	"shangrila/internal/driver"
 	"shangrila/internal/ir"
-	"shangrila/internal/ixp"
 	"shangrila/internal/packet"
 	"shangrila/internal/profiler"
 	"shangrila/internal/rts"
@@ -125,12 +124,6 @@ type DiffConfig struct {
 	MaxCycles    int64  // total cycle budget per level (default 600k)
 	CaptureLimit int    // max frames captured (default 8*TraceN)
 	FirstOnly    bool   // stop at the first divergent level
-
-	// Engine selects the simulation engine compiled levels run on (nil =
-	// serial). The engines are bit-identical, so the fuzz corpus and the
-	// golden suite replay under ixp.EngineCompiled must reproduce the
-	// serial verdicts exactly.
-	Engine ixp.EngineSpec
 }
 
 func (c *DiffConfig) fill() {
@@ -250,7 +243,7 @@ func (rep *DiffReport) diffLevel(a *apps.App, lvl driver.Level, s *settings, cfg
 	}
 	trc = priv
 	rt, err := rts.New(res.Image, res.Prog, trc, rts.Options{
-		NumMEs: cfg.NumMEs, CaptureLimit: cfg.CaptureLimit, Engine: cfg.Engine})
+		NumMEs: cfg.NumMEs, CaptureLimit: cfg.CaptureLimit})
 	if err != nil {
 		rep.add(Divergence{Kind: DivRun, LevelA: "host", LevelB: name,
 			PacketIndex: -1, Detail: err.Error()})

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"shangrila/internal/apps"
@@ -93,28 +94,38 @@ func canonSnapshot(m *ixp.Machine) *engineSnapshot {
 // the way measure() does — warm-up, stats reset, measured window, stall
 // tracer attached — but keeps the machine so the full snapshot can be
 // captured.
-func runDifferentialPoint(t *testing.T, a *apps.App, res *driver.Result, numMEs int, engine ixp.EngineSpec) *engineSnapshot {
+func runDifferentialPoint(t *testing.T, a *apps.App, res *driver.Result, numMEs int) *engineSnapshot {
 	t.Helper()
-	trc := a.Trace(res.Prog.Types, 1235, 128)
-	rt, err := rts.New(res.Image, res.Prog, trc, rts.Options{NumMEs: numMEs, Engine: engine})
+	snap, err := differentialPoint(a, res, numMEs)
 	if err != nil {
-		t.Fatalf("%s %dME: %v", a.Name, numMEs, err)
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// differentialPoint is runDifferentialPoint for callers off the test
+// goroutine, which must not call t.Fatal.
+func differentialPoint(a *apps.App, res *driver.Result, numMEs int) (*engineSnapshot, error) {
+	trc := a.Trace(res.Prog.Types, 1235, 128)
+	rt, err := rts.New(res.Image, res.Prog, trc, rts.Options{NumMEs: numMEs})
+	if err != nil {
+		return nil, fmt.Errorf("%s %dME: %v", a.Name, numMEs, err)
 	}
 	for _, c := range a.Controls {
 		if err := rt.Control(c.Name, c.Args...); err != nil {
-			t.Fatalf("%s control %s: %v", a.Name, c.Name, err)
+			return nil, fmt.Errorf("%s control %s: %v", a.Name, c.Name, err)
 		}
 	}
 	st := ixp.NewStallTracer(rt.M.Cfg.NumMEs, rt.M.Cfg.ThreadsPerME)
 	rt.M.Observer().SetTracer(st)
 	if err := rt.Run(25_000); err != nil {
-		t.Fatalf("%s warmup: %v", a.Name, err)
+		return nil, fmt.Errorf("%s warmup: %v", a.Name, err)
 	}
 	rt.M.ResetStats()
 	if err := rt.Run(120_000); err != nil {
-		t.Fatalf("%s measure: %v", a.Name, err)
+		return nil, fmt.Errorf("%s measure: %v", a.Name, err)
 	}
-	return canonSnapshot(rt.M)
+	return canonSnapshot(rt.M), nil
 }
 
 // TestEngineDifferential runs every example application at every
@@ -142,44 +153,63 @@ func TestEngineDifferential(t *testing.T) {
 			for _, mes := range []int{1, 5} {
 				name := fmt.Sprintf("%s-%s-%dme", a.Name, lvl, mes)
 				t.Run(name, func(t *testing.T) {
-					snap := runDifferentialPoint(t, a, res, mes, nil)
-					got, err := json.MarshalIndent(snap, "", "  ")
-					if err != nil {
-						t.Fatal(err)
-					}
-					got = append(got, '\n')
-					path := filepath.Join(dir, name+".json")
+					snap := runDifferentialPoint(t, a, res, mes)
 					if *updateGolden {
-						if err := os.WriteFile(path, got, 0o644); err != nil {
+						got := snapshotJSON(t, snap)
+						if err := os.WriteFile(goldenPath(name), got, 0o644); err != nil {
 							t.Fatal(err)
 						}
 						return
 					}
-					want, err := os.ReadFile(path)
-					if err != nil {
-						t.Fatalf("missing golden (run with -update-golden): %v", err)
-					}
-					if string(got) != string(want) {
-						t.Errorf("engine output diverged from reference-interpreter golden %s\ngot:\n%s\nwant:\n%s",
-							path, got, want)
-					}
+					checkGolden(t, name, snap, "engine output")
 				})
 			}
 		}
 	}
 }
 
-// TestEngineDifferentialParallel replays the full differential suite on
-// the parallel sharded engine and asserts its canonical output is
-// byte-identical to the same goldens the serial engine is locked to —
-// the parallel engine's correctness contract. The shard count is a
-// deliberately uneven divisor of the 8 MEs so partitions split mid-ring
-// pipelines.
+// goldenPath is the engine golden of one differential point.
+func goldenPath(name string) string {
+	return filepath.Join("testdata", "engine", name+".json")
+}
+
+// snapshotJSON is the byte form a golden stores.
+func snapshotJSON(t *testing.T, snap *engineSnapshot) []byte {
+	t.Helper()
+	got, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(got, '\n')
+}
+
+// checkGolden reports an error unless snap is byte-identical to the
+// golden of the named point; what names the run in the message.
+func checkGolden(t *testing.T, name string, snap *engineSnapshot, what string) {
+	t.Helper()
+	got := snapshotJSON(t, snap)
+	path := goldenPath(name)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run TestEngineDifferential with -update-golden): %v", err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("%s diverged from reference-interpreter golden %s\ngot:\n%s\nwant:\n%s",
+			what, path, got, want)
+	}
+}
+
+// TestEngineDifferentialParallel replays the full differential suite with
+// every point running concurrently on its own Machine, the two ME
+// placements of one app and level sharing one compiled driver.Result.
+// The sweep worker pool and the cluster runner get their host
+// parallelism this way, so their reports are only deterministic if
+// Machines share no mutable state and running a compiled program never
+// writes to it: every point must still match its golden byte for byte.
 func TestEngineDifferentialParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential suite is slow; run without -short")
 	}
-	dir := filepath.Join("testdata", "engine")
 	for _, a := range apps.All() {
 		for _, lvl := range driver.Levels() {
 			res, err := Compile(a, lvl, 1234)
@@ -189,42 +219,27 @@ func TestEngineDifferentialParallel(t *testing.T) {
 			for _, mes := range []int{1, 5} {
 				name := fmt.Sprintf("%s-%s-%dme", a.Name, lvl, mes)
 				t.Run(name, func(t *testing.T) {
-					snap := runDifferentialPoint(t, a, res, mes, ixp.EngineParallel{Shards: 3})
-					got, err := json.MarshalIndent(snap, "", "  ")
-					if err != nil {
-						t.Fatal(err)
-					}
-					got = append(got, '\n')
-					path := filepath.Join(dir, name+".json")
-					want, err := os.ReadFile(path)
-					if err != nil {
-						t.Fatalf("missing golden (run TestEngineDifferential with -update-golden): %v", err)
-					}
-					if string(got) != string(want) {
-						t.Errorf("parallel engine diverged from serial golden %s\ngot:\n%s\nwant:\n%s",
-							path, got, want)
-					}
+					t.Parallel()
+					checkGolden(t, name, runDifferentialPoint(t, a, res, mes), "concurrent run")
 				})
 			}
 		}
 	}
 }
 
-// TestEngineDifferentialCompiled replays the full differential suite on
-// the staged-compilation engine — both dispatch shapes: Shards 0 (the
-// single-goroutine compiled dispatcher) and Shards 3 (compiled closures
-// running inside the parallel engine's shard phases) — and asserts the
-// canonical output is byte-identical to the serial goldens. This is the
-// compiled engine's correctness contract: constant folding, wired-zero
-// elision and batched cycle accounting may change host speed, never
-// simulated state.
+// TestEngineDifferentialCompiled checks that a compiled program is
+// immutable under simulation: one driver.Result may drive any number of
+// Machines, one after another or at the same time, and each reproduces
+// the golden. For every point the measured Machine runs beside sibling
+// Machines built from the same Result: shards=0 runs one sibling to the
+// end first and then the measured Machine (state a finished run left in
+// the program would show), shards=3 runs three siblings concurrently
+// with it. Every sibling's snapshot must match the golden too.
 func TestEngineDifferentialCompiled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential suite is slow; run without -short")
 	}
-	dir := filepath.Join("testdata", "engine")
 	for _, shards := range []int{0, 3} {
-		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			for _, a := range apps.All() {
 				for _, lvl := range driver.Levels() {
@@ -235,20 +250,27 @@ func TestEngineDifferentialCompiled(t *testing.T) {
 					for _, mes := range []int{1, 5} {
 						name := fmt.Sprintf("%s-%s-%dme", a.Name, lvl, mes)
 						t.Run(name, func(t *testing.T) {
-							snap := runDifferentialPoint(t, a, res, mes, ixp.EngineCompiled{Shards: shards})
-							got, err := json.MarshalIndent(snap, "", "  ")
-							if err != nil {
-								t.Fatal(err)
+							if shards == 0 {
+								checkGolden(t, name, runDifferentialPoint(t, a, res, mes), "sibling run")
+								checkGolden(t, name, runDifferentialPoint(t, a, res, mes), "run on a program a finished run used")
+								return
 							}
-							got = append(got, '\n')
-							path := filepath.Join(dir, name+".json")
-							want, err := os.ReadFile(path)
-							if err != nil {
-								t.Fatalf("missing golden (run TestEngineDifferential with -update-golden): %v", err)
+							snaps := make([]*engineSnapshot, shards+1)
+							errs := make([]error, len(snaps))
+							var wg sync.WaitGroup
+							for i := range snaps {
+								wg.Add(1)
+								go func() {
+									defer wg.Done()
+									snaps[i], errs[i] = differentialPoint(a, res, mes)
+								}()
 							}
-							if string(got) != string(want) {
-								t.Errorf("compiled engine diverged from serial golden %s\ngot:\n%s\nwant:\n%s",
-									path, got, want)
+							wg.Wait()
+							for i, snap := range snaps {
+								if errs[i] != nil {
+									t.Fatalf("machine %d of %d: %v", i, len(snaps), errs[i])
+								}
+								checkGolden(t, name, snap, fmt.Sprintf("machine %d of %d on one program", i, len(snaps)))
 							}
 						})
 					}

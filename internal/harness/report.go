@@ -16,12 +16,6 @@ type ReportPoint struct {
 	Level  string `json:"level"`
 	NumMEs int    `json:"num_mes"`
 	Seed   uint64 `json:"seed"`
-	// Engine names the simulation engine the point ran on ("serial" or
-	// "parallel"); Shards is the parallel engine's effective shard count
-	// (0 for serial). Recorded per point so results measured on
-	// different engines are never silently merged.
-	Engine string `json:"engine"`
-	Shards int    `json:"shards,omitempty"`
 
 	Gbps      float64 `json:"gbps"`
 	TxPackets uint64  `json:"tx_packets"`
@@ -76,11 +70,12 @@ type BenchReport struct {
 // list and the cluster section (multi-NPU topology and per-chip
 // points), with every experiment feeding one report builder; v6 adds
 // the fuzz section (compiler-fuzzing campaign statistics and minimized
-// divergence reproducers).
-const ReportSchema = "shangrila-bench/v6"
+// divergence reproducers); v7 drops the per-point, churn and cluster-chip
+// engine/shards fields, as the simulator has a single engine.
+const ReportSchema = "shangrila-bench/v7"
 
 // ReportBuilder accumulates every experiment's machine-readable output
-// into one schema-v6 document — the single report-assembly path all
+// into one schema-v7 document — the single report-assembly path all
 // experiments share.
 type ReportBuilder struct {
 	rep     BenchReport
@@ -113,8 +108,6 @@ func (b *ReportBuilder) AddResults(results []*Result) {
 			Level:  r.Level.String(),
 			NumMEs: r.NumMEs,
 			Seed:   r.Seed,
-			Engine: r.Engine,
-			Shards: r.Shards,
 			Gbps:   r.Gbps,
 			PerPacket: map[string]float64{
 				"pkt_scratch": r.PktScratch,

@@ -34,8 +34,8 @@ func sweepOpts(workers int) []Option {
 }
 
 // TestSweepDeterminism requires byte-identical canonical reports from a
-// serial and a fully parallel sweep over the same points. Run it at
-// several scheduler widths with `go test -run TestSweep -cpu 1,4`.
+// serial and a fully parallel sweep over the same points. `make race`
+// runs it at several scheduler widths (-cpu 1,2,8).
 func TestSweepDeterminism(t *testing.T) {
 	points := sweepTestPoints()
 	serial, err := Sweep(points, sweepOpts(1)...)

@@ -69,12 +69,6 @@ type Config struct {
 	// instruments share a namespace. Nil gives the machine a private
 	// registry (reachable via Observer.Metrics).
 	Metrics *metrics.Registry
-
-	// Engine selects the simulation engine (see engine.go). Nil means
-	// EngineSerial; WithEngine sets it at construction. Validate rejects
-	// parallel selections with invalid shard counts or a degenerate
-	// (empty) conservative lookahead window.
-	Engine EngineSpec
 }
 
 // Validate rejects configurations that would make the timing model divide
@@ -109,7 +103,7 @@ func (c *Config) Validate() error {
 	case c.NumRings > 0 && c.RingSlots <= 0:
 		return fmt.Errorf("ixp: config: RingSlots must be positive when rings are configured (got %d)", c.RingSlots)
 	}
-	return c.validateEngine()
+	return nil
 }
 
 // DefaultConfig returns the calibrated IXP2400 model.
@@ -369,7 +363,6 @@ type ME struct {
 	idx     int
 	prog    *cg.Program
 	dec     *dProg // predecoded block form of prog (see predecode.go)
-	cdec    *cProg // staged closure form, set only under a compiled engine
 	threads []*Thread
 	local   []byte
 	cam     []camEntry
@@ -436,7 +429,7 @@ type Machine struct {
 	lastBusy  [4]int64       // controller busy at the previous telemetry sample
 	lastME    []int64        // per-ME busy at the previous telemetry sample
 	ctrl      [3]*controller // scratch, sram, dram (local is uncontended)
-	eng       engine         // event core (serial or parallel; see engine.go)
+	q         eventQueue     // pending events (see eventq.go)
 	now       int64
 	seq       int64
 	statsBase int64 // time origin of the current Stats window
@@ -452,13 +445,6 @@ type Machine struct {
 	// decCache memoizes predecoded programs so reloading the same
 	// cg.Program on several MEs (replicated pipeline stages) decodes once.
 	decCache map[*cg.Program]*dProg
-
-	// compCache memoizes staged programs (compile.go) the same way;
-	// populated only under a compiled engine. cctx is the dispatcher's
-	// exit-closure context, held by value so the steady state stays
-	// allocation-free.
-	compCache map[*dProg]*cProg
-	cctx      cCtx
 
 	// cbs is the callback registry: events are pointer-free, so a
 	// scheduled closure parks here and the event carries its index. The
@@ -476,13 +462,11 @@ type Machine struct {
 
 // New builds a machine from a configuration (ring topology included),
 // shaped by functional options: WithMedia supplies the traffic source
-// and sink (machines without media only execute code), WithEngine
-// selects the serial or parallel event core, WithTracer attaches the
-// event sink, WithMetrics overrides the telemetry registry. Options
-// apply before validation, so an invalid engine selection (bad shard
-// count) fails here with an *EngineConfigError, and zero or negative
-// clock, port rate or structural sizes are rejected with a descriptive
-// error instead of surfacing later as NaN/Inf rates.
+// and sink (machines without media only execute code), WithTracer
+// attaches the event sink, WithMetrics overrides the telemetry registry.
+// Options apply before validation, so zero or negative clock, port rate
+// or structural sizes are rejected with a descriptive error instead of
+// surfacing later as NaN/Inf rates.
 func New(cfg Config, opts ...Option) (*Machine, error) {
 	m := &Machine{Cfg: cfg}
 	for _, o := range opts {
@@ -529,7 +513,6 @@ func New(cfg Config, opts ...Option) (*Machine, error) {
 	for i := 0; i < cfg.NumRings; i++ {
 		m.Rings = append(m.Rings, newRing(cfg.RingSlots))
 	}
-	m.eng = buildEngine(m)
 	return m, nil
 }
 
@@ -568,17 +551,6 @@ func (m *Machine) LoadProgram(me int, prog *cg.Program) {
 		m.decCache[prog] = d
 	}
 	mx.dec = d
-	if m.compiledDispatch() {
-		cp, ok := m.compCache[d]
-		if !ok {
-			cp = compileProg(d, prog)
-			if m.compCache == nil {
-				m.compCache = map[*dProg]*cProg{}
-			}
-			m.compCache[d] = cp
-		}
-		mx.cdec = cp
-	}
 	mx.enabled = true
 	for i, t := range mx.threads {
 		t.pc = 0
@@ -624,7 +596,7 @@ func (m *Machine) schedule(t int64, kind evKind, me, thread int, fn func()) {
 		}
 	}
 	m.seq++
-	m.eng.push(event{time: t, seq: m.seq, kind: kind, me: int32(me), thread: int32(thread), cb: cb})
+	m.q.push(event{time: t, seq: m.seq, kind: kind, me: int32(me), thread: int32(thread), cb: cb})
 }
 
 // takeCB claims a scheduled callback out of the registry, freeing its slot.
@@ -660,19 +632,65 @@ func (m *Machine) activateSoon(me int, t int64) {
 	m.schedule(t, evActivate, me, 0, nil)
 }
 
-// Run advances the simulation until the cycle budget elapses or an error
-// occurs. It can be called repeatedly for warm-up + measure phases. The
-// event core is the engine the configuration selected (serial by
-// default); both engines produce bit-identical observable state.
+// Run advances the simulation until the cycle budget elapses, the event
+// queue drains or an error occurs. It can be called repeatedly for
+// warm-up + measure phases. When the queue drains (no media and finite
+// work), the clock stops at the last event rather than the deadline.
 func (m *Machine) Run(cycles int64) error {
-	return m.eng.run(m, cycles)
+	deadline := m.now + cycles
+	m.kickoff()
+	for m.err == nil {
+		ev, ok := m.q.popUntil(deadline)
+		if !ok {
+			if m.q.len() > 0 {
+				// The next event is past the budget: leave it queued for a
+				// future Run call.
+				m.now = deadline
+				m.stats.Cycles = m.now - m.statsBase
+				return m.err
+			}
+			break
+		}
+		if ev.time > m.now {
+			m.now = ev.time
+		}
+		switch ev.kind {
+		case evActivate:
+			m.MEs[ev.me].scheduled = false
+			m.runME(int(ev.me))
+		case evReady:
+			m.readyThread(int(ev.me), int(ev.thread))
+			// Drain further wakeups sharing this timestamp: they are the
+			// next pops regardless (any activation they schedule carries a
+			// later seq), so handling them here preserves event order while
+			// skipping the dispatch loop.
+			for {
+				h := m.q.peek()
+				if h == nil || h.kind != evReady || h.time != m.now {
+					break
+				}
+				e := m.q.pop()
+				m.readyThread(int(e.me), int(e.thread))
+			}
+		case evRxTick:
+			m.rxTick()
+		case evTxTick:
+			m.txTick()
+		case evXScale:
+			m.xscaleTick()
+		case evCallback:
+			m.takeCB(ev.cb)()
+		case evSample:
+			m.sampleTick()
+		}
+	}
+	m.stats.Cycles = m.now - m.statsBase
+	return m.err
 }
 
 // kickoff schedules the run's initial events: one activation per idle
 // ME, and — on the first Run only — the perpetual media/XScale/telemetry
 // tick chains (another chain would double the modelled media bandwidth).
-// Both engines call it on entry, so the initial event sequence numbers
-// are identical.
 func (m *Machine) kickoff() {
 	for i := range m.MEs {
 		m.activateSoon(i, m.now)

@@ -1,6 +1,7 @@
 package ixp
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -427,6 +428,100 @@ func TestMemOutOfRangeFaults(t *testing.T) {
 	m.LoadProgram(0, prog)
 	if err := m.Run(10_000); err == nil {
 		t.Fatal("expected machine check for out-of-range access")
+	}
+}
+
+// haltTracer records when the last thread halted; every other event is
+// ignored.
+type haltTracer struct{ last int64 }
+
+func (h *haltTracer) ThreadRun(t int64, me, thread int, cycles int64, reason YieldReason) {
+	if reason == YieldHalt && t > h.last {
+		h.last = t
+	}
+}
+func (*haltTracer) MemAccess(int64, int, int, cg.MemLevel, int, int64, int64)        {}
+func (*haltTracer) RingOp(int64, int, int, int, RingOpKind, bool, int, int64, int64) {}
+func (*haltTracer) Rx(int64, uint32, int, bool)                                      {}
+func (*haltTracer) Tx(int64, uint32, int, int64)                                     {}
+
+// TestRunDrainsQueue checks the queue-drain exit: with no media and
+// finite work, Run stops the clock at the last event (the last thread's
+// halt) instead of running on to the deadline, and a later Run on the
+// drained machine leaves the clock where it is.
+func TestRunDrainsQueue(t *testing.T) {
+	halt := &cg.Program{Name: "halt", Code: []*cg.Instr{
+		{Op: cg.IALUImm, ALU: cg.AAdd, Dst: 1, SrcA: 1, Imm: 7},
+		{Op: cg.IMem, Level: cg.MemScratch, Store: true, Addr: cg.NoPReg, AddrOff: 64,
+			NWords: 1, Data: []cg.PReg{1}, Class: cg.ClassAppData},
+		{Op: cg.IHalt},
+	}}
+	cfg := DefaultConfig()
+	cfg.NumRings = 1 // no Tx ring: no perpetual media tick chain
+	ht := &haltTracer{}
+	m, err := New(cfg, WithTracer(ht))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for me := 0; me < cfg.NumMEs; me++ {
+		m.LoadProgram(me, halt)
+	}
+	const budget = 1_000_000
+	if err := m.Run(budget); err != nil {
+		t.Fatal(err)
+	}
+	if m.Now() >= budget {
+		t.Fatalf("Run went to the deadline (%d); expected an early drain", m.Now())
+	}
+	if m.Now() != ht.last {
+		t.Errorf("clock stopped at %d, last halt at %d", m.Now(), ht.last)
+	}
+	if c := m.Snapshot().Cycles; c != m.Now() {
+		t.Errorf("Stats.Cycles = %d, want %d", c, m.Now())
+	}
+	if got := beWord(m.Scratch[64:]); got != 7 {
+		t.Errorf("stored word = %d, want 7", got)
+	}
+	stop := m.Now()
+	if err := m.Run(budget); err != nil {
+		t.Fatal(err)
+	}
+	if m.Now() != stop {
+		t.Errorf("second Run on a drained machine moved the clock %d -> %d", stop, m.Now())
+	}
+}
+
+// TestAtCallbacks checks Machine.At callbacks fire at their exact cycles
+// while MEs and media keep the queue busy, including an At scheduled from
+// inside a callback.
+func TestAtCallbacks(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RingSlots = 64
+	m, err := New(cfg, WithMedia(&FixedDescMedia{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.GrowRing(cg.RingFree, 128)
+	for i := 0; i < 100; i++ {
+		m.Rings[cg.RingFree].Put(uint32(i), 64<<16|128)
+	}
+	for me := 0; me < cfg.NumMEs; me++ {
+		m.LoadProgram(me, loopProg())
+	}
+	var seen []int64
+	m.At(25_000, func() { seen = append(seen, m.Now()) })
+	m.At(25_001, func() {
+		seen = append(seen, m.Now())
+		m.At(25_050, func() { seen = append(seen, m.Now()) })
+	})
+	if err := m.Run(100_000); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{25_000, 25_001, 25_050}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("callbacks fired at %v, want %v", seen, want)
+	}
+	if m.Snapshot().TxPackets == 0 {
+		t.Error("nothing forwarded alongside the callbacks")
 	}
 }
 

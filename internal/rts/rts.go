@@ -59,9 +59,6 @@ type Options struct {
 	// nil plays the trace back-to-back at line rate, the paper's
 	// saturating-load setup.
 	Workload *workload.Spec
-	// Engine selects the simulation engine (nil means the serial
-	// default; takes precedence over Cfg.Engine when set).
-	Engine ixp.EngineSpec
 	// Media overrides the machine's installed media. nil keeps the
 	// runtime itself (trace playback / workload stream); the cluster
 	// passes its fabric port here and feeds packets back through the
@@ -80,9 +77,6 @@ func New(img *cg.Image, prog *ir.Program, tr []*packet.Packet, opts Options) (*R
 	cfg := opts.Cfg
 	if cfg.NumMEs == 0 {
 		cfg = ixp.DefaultConfig()
-	}
-	if opts.Engine != nil {
-		cfg.Engine = opts.Engine
 	}
 	lay := img.Layout
 	cfg.NumRings = lay.NumRings
