@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check race churn-claims verify fuzz-ci bench bench-smoke bench-loadlatency bench-churn bench-cluster clean
+.PHONY: all build test vet fmt-check race churn-claims perfbench verify fuzz-ci bench bench-smoke bench-loadlatency bench-churn bench-cluster clean
 
 all: verify
 
@@ -33,17 +33,24 @@ race:
 # The dynamic-control-plane gate, run explicitly (and with -count=1, so
 # a cached `test` result can never mask a regression): SWC delayed-update
 # coherency under an update storm, rule-flip convergence, byte-identical
-# incremental-vs-cold compiles, and churn report determinism.
+# session-recompile-vs-cold images, and churn report determinism.
 churn-claims:
 	$(GO) test -count=1 -run \
-		'TestSWCCoherencyUnderChurnStorm|TestFirewallRuleFlipConverges|TestIncrementalPacketDifferential|TestChurnDeterminism' \
+		'TestSWCCoherencyUnderChurnStorm|TestFirewallRuleFlipConverges|TestRecompilePacketDifferential|TestChurnDeterminism' \
 		./internal/harness/
+
+# The benchmark is its own Go module, so `go build ./...` never reaches
+# it; vet and test it here so an internal API change cannot break it
+# unnoticed. Runs offline and writes nothing under perfbench/.
+perfbench:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench test .
 
 # Tier-1 verification: everything CI gates on. `test` includes the
 # checked-in fuzz-corpus replay (internal/harness/testdata/fuzz-corpus),
 # so every previously minimized compiler-bug reproducer re-runs through
 # the full differential oracle on each verify.
-verify: build vet fmt-check test race churn-claims
+verify: build vet fmt-check test race churn-claims perfbench
 
 # Compiler-fuzzing gate (~1-2 min): 500 seeded random Baker programs,
 # each compiled at every cumulative optimization level and checked
@@ -86,8 +93,8 @@ bench-loadlatency: build
 	@test -s trace.json && echo "bench-loadlatency: trace OK"
 
 # Short churn experiment: per-app goodput/latency timelines under a
-# control-plane update storm plus the full-vs-incremental compile-latency
-# comparison, written to its own report so CI can archive the timelines.
+# control-plane update storm plus the recompile-latency distribution,
+# written to its own report so CI can archive the timelines.
 bench-churn: build
 	$(GO) run ./cmd/shangrila-bench -quick -experiment churn -report churn_report.json
 	@test -s churn_report.json && echo "bench-churn: report OK"

@@ -47,7 +47,6 @@ import (
 	"strings"
 
 	"shangrila/internal/apps"
-	"shangrila/internal/cg"
 	"shangrila/internal/harness"
 )
 
@@ -210,5 +209,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ixpsim: %v\n", err)
 		os.Exit(1)
 	}
-	_ = cg.CodeStoreLimit
 }

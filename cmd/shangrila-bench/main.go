@@ -17,7 +17,7 @@
 // Sweep points fan out across worker goroutines and every measurement —
 // forwarding rates, per-packet accesses, telemetry, compile pass timings,
 // latency histograms, cluster topologies, fuzz campaign statistics —
-// lands in one machine-readable JSON report (schema shangrila-bench/v7).
+// lands in one machine-readable JSON report (schema shangrila-bench/v8).
 //
 // With -stalls every sweep point carries a conservative per-ME stall
 // breakdown (stall_breakdown in the report); -trace additionally runs one

@@ -53,19 +53,6 @@ type Merged struct {
 	Entries []*Entry
 }
 
-// Clone deep-copies the merged view's program and remaps the entries onto
-// the cloned functions, sharing the aggregate and channel metadata. The
-// incremental compile session snapshots merged state between passes with
-// this, so later transforms cannot disturb a cached snapshot.
-func (m *Merged) Clone() *Merged {
-	np := ir.CloneProgram(m.Prog)
-	cp := &Merged{Agg: m.Agg, Prog: np}
-	for _, e := range m.Entries {
-		cp.Entries = append(cp.Entries, &Entry{In: e.In, Func: np.Funcs[e.Func.Name]})
-	}
-	return cp
-}
-
 // ClassifyChannels decides every channel's implementation class under the
 // plan. Channels whose producer and consumer share an aggregate become
 // calls when the PPF wiring stays acyclic, loopbacks otherwise.

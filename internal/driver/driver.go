@@ -120,10 +120,6 @@ type PassTiming struct {
 	InstrsBefore int    `json:"instrs_before"`
 	InstrsAfter  int    `json:"instrs_after"`
 	VerifyNanos  int64  `json:"verify_nanos,omitempty"`
-	// Skipped marks a pass an incremental Session recompile satisfied
-	// from its cache instead of executing; Nanos/VerifyNanos are zero and
-	// the sizes are the cached result's.
-	Skipped bool `json:"skipped,omitempty"`
 }
 
 // Report summarizes what the compiler did.
@@ -167,7 +163,7 @@ type Result struct {
 	Report *Report
 	// Merged holds the per-aggregate merged programs in final form, so
 	// callers can render the complete IR state (DumpIR) — the artifact
-	// the incremental-vs-cold differential compares byte for byte.
+	// the recompile-vs-cold differential compares byte for byte.
 	Merged []*aggregate.Merged
 }
 

@@ -75,17 +75,11 @@ type Context struct {
 	// factGuard, when non-nil, is the set of facts the running pass
 	// declared in Requires (or produced itself during this Run). Reading
 	// any other fact through the typed accessors records a violation:
-	// that is the undeclared dependency that would let an incremental
-	// recompile silently reuse a stale analysis. Installed around
+	// that is the undeclared dependency that would let a reordered
+	// pipeline read a missing or stale analysis. Installed around
 	// Pass.Run only — ensure and the manager itself read freely.
 	factGuard map[FactKind]bool
 	guardErr  error
-	// factReads logs which facts the current pass consulted (including
-	// the exempt optional SOARIfValid read). The incremental Session uses
-	// it to record each cached pass result's true input set, so reuse is
-	// keyed to the exact fact values a pass observed, not just its
-	// declared Requires.
-	factReads [numFacts]bool
 }
 
 // noteFactRead enforces the Requires contract while a pass runs.
@@ -94,7 +88,6 @@ type Context struct {
 // happens to have them and passes nil otherwise), so it cannot create a
 // hidden hard dependency.
 func (ctx *Context) noteFactRead(k FactKind) {
-	ctx.factReads[k] = true
 	if ctx.factGuard == nil || ctx.factGuard[k] {
 		return
 	}
@@ -132,10 +125,8 @@ func (ctx *Context) SOAR() *soar.Stats {
 
 // SOARIfValid returns the cached SOAR facts without computing them: nil at
 // levels whose pipeline never analyzes (the code generator passes nil on).
-// It is exempt from the Requires guard — an optional read by design — but
-// still logged in factReads so incremental reuse keys on it.
+// It is exempt from the Requires guard — an optional read by design.
 func (ctx *Context) SOARIfValid() *soar.Stats {
-	ctx.factReads[FactSOAR] = true
 	if !ctx.facts.valid[FactSOAR] {
 		return nil
 	}

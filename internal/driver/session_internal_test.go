@@ -12,8 +12,8 @@ import (
 )
 
 // fakePass reads facts its Requires declaration does not admit — the
-// mistake that would let an incremental recompile silently reuse a stale
-// analysis if the fact guard did not exist.
+// mistake that would let a reordered pipeline silently read a missing or
+// stale analysis if the fact guard did not exist.
 type fakePass struct {
 	name     string
 	requires []FactKind
@@ -54,12 +54,10 @@ module m {
 	return prog
 }
 
-// TestUndeclaredFactReadFails is the negative half of the invalidation
-// semantics: a pass whose Requires declaration is deliberately wrong (it
-// reads the profile fact without declaring it) must fail the compile
-// loudly. Stale-fact reuse through an undeclared dependency is therefore
-// impossible — the read cannot even happen once, so no cached entry with a
-// missing input can ever exist.
+// TestUndeclaredFactReadFails is the negative half of the fact guard: a
+// pass whose Requires declaration is deliberately wrong (it reads the
+// profile fact without declaring it) must fail the compile loudly, so an
+// undeclared dependency cannot survive a single compile.
 func TestUndeclaredFactReadFails(t *testing.T) {
 	prog := lowerTestProg(t)
 	r := newRunner(prog, Config{VerifyIR: VerifyOff})
@@ -84,8 +82,7 @@ func TestUndeclaredFactReadFails(t *testing.T) {
 }
 
 // TestDeclaredFactReadPasses is the positive control: the same read with a
-// correct Requires declaration succeeds, and the read is logged for the
-// session's reuse keying.
+// correct Requires declaration succeeds.
 func TestDeclaredFactReadPasses(t *testing.T) {
 	prog := lowerTestProg(t)
 	r := newRunner(prog, Config{VerifyIR: VerifyOff})
@@ -102,15 +99,12 @@ func TestDeclaredFactReadPasses(t *testing.T) {
 	if err := r.runPass(good); err != nil {
 		t.Fatalf("declared fact read failed: %v", err)
 	}
-	if !r.ctx.factReads[FactProfile] {
-		t.Error("declared read was not logged in factReads")
-	}
 }
 
-// TestOptionalSOARReadExemptButLogged pins SOARIfValid's contract: exempt
-// from the Requires guard (the documented optional read) yet logged, so a
-// cached pass that consulted it is keyed on the SOAR fact's state.
-func TestOptionalSOARReadExemptButLogged(t *testing.T) {
+// TestOptionalSOARReadExempt pins SOARIfValid's contract: exempt from the
+// Requires guard (the documented optional read), and it never computes
+// the facts itself.
+func TestOptionalSOARReadExempt(t *testing.T) {
 	prog := lowerTestProg(t)
 	r := newRunner(prog, Config{VerifyIR: VerifyOff})
 
@@ -126,8 +120,5 @@ func TestOptionalSOARReadExemptButLogged(t *testing.T) {
 	}
 	if err := r.runPass(p); err != nil {
 		t.Fatalf("optional SOAR read was rejected: %v", err)
-	}
-	if !r.ctx.factReads[FactSOAR] {
-		t.Error("optional SOAR read was not logged in factReads")
 	}
 }

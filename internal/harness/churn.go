@@ -20,18 +20,15 @@ import (
 // rewrites) is applied through the XScale control path while the data
 // plane forwards an open-loop workload; goodput and latency are reported
 // as a timeline of equal cycle buckets so update bursts are visible, and
-// the same policy deltas drive an incremental-compilation session to
-// compare full-vs-incremental compile latency.
+// the same policy deltas drive a compile session to measure the control
+// plane's recompile latency.
 
 // churnBuckets is the timeline resolution of one churn run.
 const churnBuckets = 8
 
-// churnColdSamples / churnIncSamples size the compile-latency
-// comparison: cold full compiles vs single-delta incremental recompiles.
-const (
-	churnColdSamples = 3
-	churnIncSamples  = 8
-)
+// churnRecompileSamples sizes the recompile-latency distribution: one
+// single-delta recompile per sample.
+const churnRecompileSamples = 8
 
 // ChurnBucket is one timeline segment of a churn run. Counters reset at
 // every bucket boundary, so rates and latency quantiles are local to the
@@ -49,22 +46,14 @@ type ChurnBucket struct {
 	Latency        metrics.HistogramSnapshot `json:"latency_cycles"`
 }
 
-// ChurnCompileLatency compares the control plane's recompile cost with
-// and without the incremental session: wall-clock percentiles (zeroed in
-// canonical reports) plus the deterministic executed/skipped pass counts
-// behind them.
+// ChurnCompileLatency is the control plane's recompile cost: wall-clock
+// percentiles over single-delta recompiles (zeroed in canonical reports)
+// plus the deterministic pipeline length behind them.
 type ChurnCompileLatency struct {
-	ColdSamples  int   `json:"cold_samples"`
-	IncSamples   int   `json:"inc_samples"`
-	ColdP50Nanos int64 `json:"cold_p50_nanos"`
-	ColdP99Nanos int64 `json:"cold_p99_nanos"`
-	IncP50Nanos  int64 `json:"inc_p50_nanos"`
-	IncP99Nanos  int64 `json:"inc_p99_nanos"`
-	// ColdPasses is the pipeline length; IncExecuted/IncSkipped split it
-	// for the median incremental recompile.
-	ColdPasses  int `json:"cold_passes"`
-	IncExecuted int `json:"inc_executed"`
-	IncSkipped  int `json:"inc_skipped"`
+	Samples  int   `json:"samples"`
+	P50Nanos int64 `json:"p50_nanos"`
+	P99Nanos int64 `json:"p99_nanos"`
+	Passes   int   `json:"passes"`
 }
 
 // ChurnResult is one app × level churn run.
@@ -132,42 +121,30 @@ func nanoPercentile(sorted []int64, p int) int64 {
 	return sorted[i]
 }
 
-// measureCompileLatency times cold full compiles against single-delta
-// incremental recompiles through a driver.Session, feeding the session
-// the same churn policy states the runtime applies.
+// measureCompileLatency times single-delta recompiles through a
+// driver.Session, feeding the session the same churn policy states the
+// runtime applies.
 func measureCompileLatency(a *apps.App, sp workload.ChurnSpec, s *settings) (*ChurnCompileLatency, error) {
-	mk := func() (*driver.Session, error) {
-		prog, err := driver.LowerSource(a.Name+".baker", a.Source)
-		if err != nil {
-			return nil, err
-		}
-		cfg := driverConfig(a, s.level, a.Trace(prog.Types, s.run.Seed, 512), s)
-		cfg.DumpPass, cfg.DumpDir = "", "" // latency sampling never dumps
-		return driver.NewSession(prog, cfg)
+	prog, err := driver.LowerSource(a.Name+".baker", a.Source)
+	if err != nil {
+		return nil, err
 	}
-	cl := &ChurnCompileLatency{}
-	var cold []int64
-	var sess *driver.Session
-	for i := 0; i < churnColdSamples; i++ {
-		se, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		res, err := se.Compile()
-		if err != nil {
-			return nil, err
-		}
-		cold = append(cold, time.Since(t0).Nanoseconds())
-		cl.ColdPasses = len(res.Report.Passes)
-		sess = se
+	cfg := driverConfig(a, s.level, a.Trace(prog.Types, s.run.Seed, 512), s)
+	cfg.DumpPass, cfg.DumpDir = "", "" // latency sampling never dumps
+	sess, err := driver.NewSession(prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := sess.Compile(); err != nil {
+		return nil, err
 	}
 	cs, err := workload.NewChurnStream(sp)
 	if err != nil {
 		return nil, err
 	}
-	var inc []int64
-	for i := 0; i < churnIncSamples; i++ {
+	cl := &ChurnCompileLatency{}
+	var samples []int64
+	for i := 0; i < churnRecompileSamples; i++ {
 		ev := cs.Next()
 		ctl := a.Churn.State(ev.Item, ev.Version, ev.Withdraw)
 		t0 := time.Now()
@@ -175,24 +152,13 @@ func measureCompileLatency(a *apps.App, sp workload.ChurnSpec, s *settings) (*Ch
 		if err != nil {
 			return nil, err
 		}
-		inc = append(inc, time.Since(t0).Nanoseconds())
-		exec, skip := 0, 0
-		for _, pt := range res.Report.Passes {
-			if pt.Skipped {
-				skip++
-			} else {
-				exec++
-			}
-		}
-		cl.IncExecuted, cl.IncSkipped = exec, skip
+		samples = append(samples, time.Since(t0).Nanoseconds())
+		cl.Passes = len(res.Report.Passes)
 	}
-	sort.Slice(cold, func(i, j int) bool { return cold[i] < cold[j] })
-	sort.Slice(inc, func(i, j int) bool { return inc[i] < inc[j] })
-	cl.ColdSamples, cl.IncSamples = len(cold), len(inc)
-	cl.ColdP50Nanos = nanoPercentile(cold, 50)
-	cl.ColdP99Nanos = nanoPercentile(cold, 99)
-	cl.IncP50Nanos = nanoPercentile(inc, 50)
-	cl.IncP99Nanos = nanoPercentile(inc, 99)
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	cl.Samples = len(samples)
+	cl.P50Nanos = nanoPercentile(samples, 50)
+	cl.P99Nanos = nanoPercentile(samples, 99)
 	return cl, nil
 }
 
@@ -333,7 +299,7 @@ func ChurnExperiment(appList []*apps.App, opts ...Option) ([]*ChurnResult, error
 	return out, nil
 }
 
-// FormatChurn renders churn timelines and compile-latency comparisons as
+// FormatChurn renders churn timelines and recompile latencies as
 // aligned text tables.
 func FormatChurn(results []*ChurnResult) string {
 	var b strings.Builder
@@ -351,9 +317,8 @@ func FormatChurn(results []*ChurnResult) string {
 		fmt.Fprintf(&b, "  updates: %d scheduled, %d applied, %d failed\n",
 			r.Updates.Scheduled, r.Updates.Applied, r.Updates.Failed)
 		if c := r.Compile; c != nil {
-			fmt.Fprintf(&b, "  compile: cold p50 %v p99 %v (%d passes) | incremental p50 %v p99 %v (%d run / %d skipped)\n",
-				time.Duration(c.ColdP50Nanos), time.Duration(c.ColdP99Nanos), c.ColdPasses,
-				time.Duration(c.IncP50Nanos), time.Duration(c.IncP99Nanos), c.IncExecuted, c.IncSkipped)
+			fmt.Fprintf(&b, "  recompile: p50 %v p99 %v (%d samples, %d passes)\n",
+				time.Duration(c.P50Nanos), time.Duration(c.P99Nanos), c.Samples, c.Passes)
 		}
 	}
 	return b.String()

@@ -3,6 +3,7 @@ package harness
 import (
 	"flag"
 	"fmt"
+	"math"
 
 	"shangrila/internal/driver"
 	"shangrila/internal/workload"
@@ -155,6 +156,9 @@ func (f *CommonFlags) Options() ([]Option, error) {
 	}
 	if csp != nil {
 		opts = append(opts, WithChurn(csp))
+	}
+	if f.SWCCheckLimit > math.MaxUint32 {
+		return nil, fmt.Errorf("-swc-check-limit %d exceeds %d", f.SWCCheckLimit, uint32(math.MaxUint32))
 	}
 	if f.SWCCheckLimit != 0 {
 		opts = append(opts, WithSWCMaxCheck(uint32(f.SWCCheckLimit)))

@@ -125,7 +125,7 @@ func TestFuzzReportSection(t *testing.T) {
 		t.Fatal("builder with fuzz section reports empty")
 	}
 	rep := b.Report()
-	if rep.Schema != "shangrila-bench/v7" {
+	if rep.Schema != "shangrila-bench/v8" {
 		t.Fatalf("schema %q", rep.Schema)
 	}
 	raw, err := rep.CanonicalJSON()

@@ -68,8 +68,8 @@ func compile(a *apps.App, lvl driver.Level, seed uint64, s *settings) (*driver.R
 	return driver.CompileIR(prog, driverConfig(a, lvl, ptrace, s))
 }
 
-// driverConfig assembles the driver configuration shared by cold
-// compiles and incremental sessions.
+// driverConfig assembles the driver configuration shared by one-shot
+// compiles and compile sessions.
 func driverConfig(a *apps.App, lvl driver.Level, ptrace []*packet.Packet, s *settings) driver.Config {
 	cfg := driver.Config{
 		Level:        lvl,

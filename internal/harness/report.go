@@ -71,11 +71,13 @@ type BenchReport struct {
 // points), with every experiment feeding one report builder; v6 adds
 // the fuzz section (compiler-fuzzing campaign statistics and minimized
 // divergence reproducers); v7 drops the per-point, churn and cluster-chip
-// engine/shards fields, as the simulator has a single engine.
-const ReportSchema = "shangrila-bench/v7"
+// engine/shards fields, as the simulator has a single engine; v8 turns
+// the churn section's cold-vs-incremental compile comparison into one
+// recompile-latency distribution.
+const ReportSchema = "shangrila-bench/v8"
 
 // ReportBuilder accumulates every experiment's machine-readable output
-// into one schema-v7 document — the single report-assembly path all
+// into one schema-v8 document — the single report-assembly path all
 // experiments share.
 type ReportBuilder struct {
 	rep     BenchReport
@@ -210,14 +212,13 @@ func (r *BenchReport) CanonicalJSON() ([]byte, error) {
 		}
 	}
 	// Churn timelines are fully simulated (byte-stable); only the
-	// wall-clock compile-latency percentiles vary, so they are zeroed
-	// while the deterministic pass counts stay.
+	// wall-clock recompile-latency percentiles vary, so they are zeroed
+	// while the deterministic sample and pass counts stay.
 	for i, cr := range r.Churn {
 		c := *cr
 		if c.Compile != nil {
 			cl := *c.Compile
-			cl.ColdP50Nanos, cl.ColdP99Nanos = 0, 0
-			cl.IncP50Nanos, cl.IncP99Nanos = 0, 0
+			cl.P50Nanos, cl.P99Nanos = 0, 0
 			c.Compile = &cl
 		}
 		cp.Churn[i] = &c

@@ -362,14 +362,15 @@ func TestRxIntervalDegenerateConfigs(t *testing.T) {
 		{PortGbps: 3, ClockMHz: 0},
 		{PortGbps: 3, ClockMHz: -1},
 	} {
-		if iv := c.RxIntervalOrDefault(); iv != 64 {
-			t.Errorf("config %+v: interval %d, want fallback 64", c, iv)
+		if iv := c.RxIntervalCycles(64 * 8); iv != 64 {
+			t.Errorf("config %+v: interval %v, want fallback 64", c, iv)
 		}
 	}
-	// Absurdly fast port: interval clamps to >= 1 instead of 0.
-	c := Config{PortGbps: 1e6, ClockMHz: 600}
-	if iv := c.RxIntervalOrDefault(); iv < 1 {
-		t.Errorf("interval %d, want >= 1", iv)
+	// Absurdly fast port: interval clamps to a positive spacing instead
+	// of 0.
+	c := Config{PortGbps: 1e9, ClockMHz: 600}
+	if iv := c.RxIntervalCycles(64 * 8); iv <= 0 {
+		t.Errorf("interval %v, want > 0", iv)
 	}
 }
 

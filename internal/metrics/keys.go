@@ -44,40 +44,7 @@ func PassVerifyNanos(pass string) Key { return Key("compile.pass." + pass + ".ve
 // delta (after - before; negative means the pass shrank the program).
 func PassSizeDelta(pass string) Key { return Key("compile.pass." + pass + ".size_delta") }
 
-// PassSkips counts the times an incremental recompile reused a named
-// pass's cached result instead of executing it.
-func PassSkips(pass string) Key { return Key("compile.pass." + pass + ".skips") }
-
-// Session-level incremental-compilation counters: total compiles executed
-// by a driver.Session and how many of those reused at least one cached
-// pass result.
-const (
-	SessionCompiles    = Key("compile.session.compiles")
-	SessionIncremental = Key("compile.session.incremental")
-)
-
 // StallShareKey is the per-category stall-share gauge family exported from
 // a stall breakdown (category as in ixp.Stall.StallShare, e.g.
 // "mem_queue.dram").
 func StallShareKey(category string) Key { return Key("stall.share." + category) }
-
-// CounterNamed looks up a counter by a runtime-built string name.
-//
-// Deprecated: construct a Key (ideally via a typed constructor above) and
-// call Counter; this shim exists for one release to ease migration.
-func (r *Registry) CounterNamed(name string) *Counter { return r.Counter(Key(name)) }
-
-// GaugeNamed looks up a gauge by a runtime-built string name.
-//
-// Deprecated: construct a Key and call Gauge.
-func (r *Registry) GaugeNamed(name string) *Gauge { return r.Gauge(Key(name)) }
-
-// SeriesNamed looks up a series by a runtime-built string name.
-//
-// Deprecated: construct a Key and call Series.
-func (r *Registry) SeriesNamed(name string, window int) *Series { return r.Series(Key(name), window) }
-
-// HistogramNamed looks up a histogram by a runtime-built string name.
-//
-// Deprecated: construct a Key and call Histogram.
-func (r *Registry) HistogramNamed(name string) *Histogram { return r.Histogram(Key(name)) }

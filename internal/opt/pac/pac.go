@@ -343,7 +343,7 @@ func combineBlock(tp *types.Program, f *ir.Func, b *ir.Block, st *Stats) {
 	// Clusters reach done in map-iteration order when several flush at
 	// once; rewrite in program order so the registers the combinations
 	// allocate are numbered deterministically (compile output must be
-	// byte-stable for the incremental-vs-cold differential).
+	// byte-stable for the recompile-vs-cold differential).
 	sort.Slice(done, func(i, j int) bool {
 		return done[i].accs[0].idx < done[j].accs[0].idx
 	})

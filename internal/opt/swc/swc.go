@@ -171,8 +171,8 @@ func SelectCandidates(prog *ir.Program, stats *profiler.Stats, cfg Config) []*Ca
 }
 
 // synthGlobal returns the named synthetic global, creating it on first
-// use. Re-applying SWC over a shared types.Program (an incremental
-// compile session snapshots IR with CloneProgram, which shares Types)
+// use. Re-applying SWC over a shared types.Program (a driver.Session
+// recompiles fresh CloneProgram copies, which share Types)
 // must reuse the words it synthesized before — their identity is the
 // contract between already-generated store paths and new check code. A
 // non-synthetic name collision is still an error.

@@ -78,6 +78,9 @@ func New(img *cg.Image, prog *ir.Program, tr []*packet.Packet, opts Options) (*R
 	if cfg.NumMEs == 0 {
 		cfg = ixp.DefaultConfig()
 	}
+	if opts.NumMEs > cfg.NumMEs {
+		return nil, fmt.Errorf("rts: %d MEs requested, the machine has %d", opts.NumMEs, cfg.NumMEs)
+	}
 	lay := img.Layout
 	cfg.NumRings = lay.NumRings
 	cfg.RingSlots = lay.RingSlots

@@ -1,10 +1,13 @@
 package rts_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"shangrila/internal/cg"
 	"shangrila/internal/driver"
+	"shangrila/internal/ixp"
 	"shangrila/internal/packet"
 	"shangrila/internal/profiler"
 	"shangrila/internal/rts"
@@ -262,6 +265,26 @@ func TestMemoryAccessCountsDropWithOptimization(t *testing.T) {
 	}
 	if sPHR >= sBase {
 		t.Errorf("PHR must cut SRAM accesses: %.1f -> %.1f", sBase, sPHR)
+	}
+}
+
+// TestTooManyMEsRejected: asking for more MEs than the machine has is a
+// configuration error naming both counts, not an out-of-range panic.
+func TestTooManyMEsRejected(t *testing.T) {
+	res := compileAt(t, driver.LevelSWC)
+	trc := mkTrace(t, res, 8)
+	have := ixp.DefaultConfig().NumMEs
+	_, err := rts.New(res.Image, res.Prog, trc, rts.Options{NumMEs: have + 1})
+	if err == nil {
+		t.Fatalf("rts.New accepted %d MEs on a %d-ME machine", have+1, have)
+	}
+	for _, n := range []string{fmt.Sprint(have + 1), fmt.Sprint(have)} {
+		if !strings.Contains(err.Error(), n) {
+			t.Errorf("error %q does not name the count %s", err, n)
+		}
+	}
+	if _, err := rts.New(res.Image, res.Prog, trc, rts.Options{NumMEs: have}); err != nil {
+		t.Errorf("rts.New rejected every ME of the machine: %v", err)
 	}
 }
 
