@@ -78,10 +78,21 @@ bench: build
 	@echo "wrote BENCH_sim.json"
 
 # Quick end-to-end pass over the evaluation binary: short windows, report
-# written to a scratch location.
+# written to a scratch location. Then the IR dump path: `-dump-ir all`
+# must write one file per pipeline stage at -O 6 (10), and an unknown
+# pass name must be a usage error (exit 2).
 bench-smoke: build
 	$(GO) run ./cmd/shangrila-bench -quick -experiment table1 -report /tmp/bench_report.json
 	@test -s /tmp/bench_report.json && echo "bench-smoke: report OK"
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/ixpsim" ./cmd/ixpsim && \
+	"$$tmp/ixpsim" -O 6 -dump-ir all -dump-ir-dir "$$tmp/ir" -verify-ir l3switch > /dev/null && \
+	n=$$(ls "$$tmp/ir"/*.ir | wc -l) && \
+	if [ "$$n" -ne 10 ]; then echo "bench-smoke: -dump-ir all wrote $$n files, want 10"; exit 1; fi && \
+	echo "bench-smoke: -dump-ir all wrote 10 files OK" && \
+	{ "$$tmp/ixpsim" -dump-ir bogus l3switch 2> /dev/null; rc=$$?; } ; \
+	if [ "$$rc" -ne 2 ]; then echo "bench-smoke: -dump-ir bogus exited $$rc, want 2"; exit 1; fi && \
+	echo "bench-smoke: -dump-ir bogus exits 2 OK"
 
 # Short load-latency sweep: goodput/drop/latency curves per app at BASE
 # and the -O default (+SWC), exported into the bench report with stall

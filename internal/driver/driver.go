@@ -1,17 +1,15 @@
 // Package driver assembles the full Shangri-La compilation pipeline of
-// Figure 5: parse → type check → lower → functional profiling → scalar
-// optimization and inlining → PAC → SOAR → aggregation → per-aggregate
-// merging → PHR → SWC → code generation. The optimization level axis
-// matches the paper's evaluation (§6.2): BASE < -O1 < -O2 < +PAC < +SOAR
-// < +PHR < +SWC, cumulative.
+// Figure 5: parse → type check → lower → functional profiling → inlining
+// and scalar optimization → SOAR → PAC → aggregation and per-aggregate
+// merging → per-aggregate optimization → PHR → SWC → final cleanup → code
+// generation. The optimization level axis matches the paper's evaluation
+// (§6.2): BASE < -O1 < -O2 < +PAC < +SOAR < +PHR < +SWC, cumulative.
 //
-// The pipeline is a composable pass manager: each stage is a registered
-// Pass with declared analysis requirements over a typed fact base (profile
-// stats, SOAR facts, aggregation plan), and CompileIR runs the declarative
-// per-Level pipeline built from the registry. After every pass the manager
-// can verify IR invariants (Config.VerifyIR — on by default under `go
-// test`), records per-pass time/size-delta/verify-time through
-// internal/metrics, and can dump any stage's IR (Config.DumpPass).
+// CompileIR runs one ordered table of stages (pipeline.go); each stage has
+// a name, a predicate saying at which levels it runs, and a body. After
+// every stage the loop can verify IR invariants (Config.VerifyIR — on by
+// default under `go test`), records the stage's time, IR sizes and verify
+// time in Report.Passes, and can dump the IR (Config.DumpPass).
 package driver
 
 import (
@@ -25,7 +23,6 @@ import (
 	"shangrila/internal/cg"
 	"shangrila/internal/ir"
 	"shangrila/internal/lower"
-	"shangrila/internal/metrics"
 	"shangrila/internal/opt/pac"
 	"shangrila/internal/opt/phr"
 	"shangrila/internal/opt/soar"
@@ -77,12 +74,9 @@ type Config struct {
 	// VerifyIR controls post-pass IR verification. The zero value
 	// (VerifyAuto) verifies under `go test` and skips otherwise.
 	VerifyIR VerifyMode
-	// Metrics receives per-pass instrumentation (compile.pass.<name>.*
-	// counters and gauges). Nil uses a private registry; either way the
-	// collected data is exported in Report.Metrics.
-	Metrics *metrics.Registry
-	// DumpPass selects a pass after which the whole IR (program plus
-	// merged aggregate bodies) is printed; "all" dumps every pass.
+	// DumpPass names a pass (one of PassNames) after which the whole IR
+	// (program plus merged aggregate bodies) is printed; "all" dumps
+	// every pass.
 	DumpPass string
 	// DumpDir writes each dump to <DumpDir>/<DumpPrefix>-<NN>-<pass>.ir.
 	// Empty means dumps go to DumpWriter (default os.Stdout).
@@ -136,10 +130,6 @@ type Report struct {
 	// Passes holds one timing entry per executed pipeline stage, in
 	// execution order.
 	Passes []PassTiming
-	// Metrics is the per-pass instrumentation snapshot
-	// (compile.pass.<name>.{runs,nanos,verify_nanos} counters and
-	// compile.pass.<name>.size_delta gauges).
-	Metrics metrics.Snapshot
 }
 
 // irSize counts IR instructions across every function of a program.
@@ -173,8 +163,7 @@ type Result struct {
 // bytes.
 func (r *Result) DumpIR() ([]byte, error) {
 	var b bytes.Buffer
-	ctx := &Context{Prog: r.Prog, Merged: r.Merged}
-	if err := writeDump(&b, "final", "prog", ctx); err != nil {
+	if err := writeDump(&b, "final", "prog", r.Prog, r.Merged); err != nil {
 		return nil, err
 	}
 	return b.Bytes(), nil
@@ -208,16 +197,12 @@ func CompileSource(file, src string, cfg Config) (*Result, error) {
 	return CompileIR(prog, cfg)
 }
 
-// CompileIR runs the pipeline from lowered IR: the per-Level pass sequence
-// built from the registry (PipelineFor), executed by the pass manager with
-// post-pass verification, metrics and dump hooks.
+// CompileIR runs the pipeline from lowered IR: every stage scheduled at
+// cfg.Level, in order, rewriting prog in place.
 func CompileIR(prog *ir.Program, cfg Config) (*Result, error) {
-	r := newRunner(prog, cfg)
-	for _, p := range PipelineFor(cfg) {
-		if err := r.runPass(p); err != nil {
-			return nil, err
-		}
+	c := &compilation{cfg: cfg, prog: prog, report: &Report{Level: cfg.Level}}
+	if err := c.run(); err != nil {
+		return nil, err
 	}
-	r.ctx.Report.Metrics = r.reg().Snapshot()
-	return &Result{Image: r.ctx.Image, Prog: prog, Report: r.ctx.Report, Merged: r.ctx.Merged}, nil
+	return &Result{Image: c.image, Prog: prog, Report: c.report, Merged: c.merged}, nil
 }

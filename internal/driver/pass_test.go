@@ -2,12 +2,15 @@ package driver_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"shangrila/internal/apps"
 	"shangrila/internal/driver"
+	"shangrila/internal/ir"
+	"shangrila/internal/opt/soar"
 )
 
 // compileApp lowers one benchmark app and runs the pipeline with the given
@@ -28,8 +31,8 @@ func compileApp(t *testing.T, a *apps.App, lvl driver.Level, cfg driver.Config) 
 	return res
 }
 
-// expectedPipeline mirrors the registry's Enabled predicates: the names
-// PipelineFor must schedule at each level, in registration order.
+// expectedPipeline mirrors the stage table's level predicates: the names
+// CompileIR must run at each level, in pipeline order.
 func expectedPipeline(lvl driver.Level) []string {
 	var names []string
 	add := func(name string, on bool) {
@@ -50,35 +53,31 @@ func expectedPipeline(lvl driver.Level) []string {
 	return names
 }
 
+// passNames lists the pass of every Report.Passes row, in order.
+func passNames(res *driver.Result) []string {
+	var names []string
+	for _, pt := range res.Report.Passes {
+		names = append(names, pt.Pass)
+	}
+	return names
+}
+
+// TestRegistryOrder pins PassNames: every stage, in pipeline order. The
+// per-layer benchmark metrics are named from it.
 func TestRegistryOrder(t *testing.T) {
-	want := expectedPipeline(driver.LevelSWC) // all passes enabled
-	got := driver.PassNames()
-	if len(got) != len(want) {
-		t.Fatalf("registry has %d passes %v, want %d %v", len(got), got, len(want), want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("registry[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-	for _, info := range driver.Passes() {
-		if info.Stage == "" {
-			t.Errorf("pass %q has no paper-stage description", info.Name)
-		}
-		if info.New == nil {
-			t.Errorf("pass %q has no constructor", info.Name)
-		}
+	want := expectedPipeline(driver.LevelSWC) // every stage runs at +SWC
+	if got := driver.PassNames(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("PassNames() = %v, want %v", got, want)
 	}
 }
 
+// TestPipelineForEachLevel checks each level's schedule as CompileIR runs
+// it: the Report.Passes rows name exactly the stages enabled at the level.
 func TestPipelineForEachLevel(t *testing.T) {
+	a := apps.L3Switch()
 	for _, lvl := range driver.Levels() {
-		var got []string
-		for _, p := range driver.PipelineFor(driver.Config{Level: lvl}) {
-			got = append(got, p.Name())
-		}
-		want := expectedPipeline(lvl)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
+		res := compileApp(t, a, lvl, driver.Config{VerifyIR: driver.VerifyOff})
+		if got, want := passNames(res), expectedPipeline(lvl); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%v pipeline = %v, want %v", lvl, got, want)
 		}
 	}
@@ -115,29 +114,20 @@ func TestVerifyAfterEveryPassAllAppsAllLevels(t *testing.T) {
 	}
 }
 
+// TestPerPassMetricsExposed checks the per-pass report rows: one per
+// scheduled pass, each timed, and each with verify time under VerifyOn.
 func TestPerPassMetricsExposed(t *testing.T) {
 	a := apps.MPLS()
 	res := compileApp(t, a, driver.LevelSWC, driver.Config{VerifyIR: driver.VerifyOn})
-	snap := res.Report.Metrics
-	for _, name := range expectedPipeline(driver.LevelSWC) {
-		if got := snap.Counters["compile.pass."+name+".runs"]; got != 1 {
-			t.Errorf("counter %s.runs = %d, want 1", name, got)
-		}
-		if snap.Counters["compile.pass."+name+".nanos"] <= 0 {
-			t.Errorf("counter %s.nanos missing", name)
-		}
-		if _, ok := snap.Counters["compile.pass."+name+".verify_nanos"]; !ok {
-			t.Errorf("counter %s.verify_nanos missing", name)
-		}
-		if _, ok := snap.Gauges["compile.pass."+name+".size_delta"]; !ok {
-			t.Errorf("gauge %s.size_delta missing", name)
-		}
+	if got, want := passNames(res), expectedPipeline(driver.LevelSWC); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("report rows %v, want %v", got, want)
 	}
-	// The size-delta gauges must agree with the report rows.
 	for _, pt := range res.Report.Passes {
-		want := float64(pt.InstrsAfter - pt.InstrsBefore)
-		if got := snap.Gauges["compile.pass."+pt.Pass+".size_delta"]; got != want {
-			t.Errorf("gauge %s.size_delta = %v, want %v", pt.Pass, got, want)
+		if pt.Nanos <= 0 {
+			t.Errorf("pass %q: nanos %d, want > 0", pt.Pass, pt.Nanos)
+		}
+		if pt.VerifyNanos <= 0 {
+			t.Errorf("pass %q: verify nanos %d with VerifyOn, want > 0", pt.Pass, pt.VerifyNanos)
 		}
 	}
 }
@@ -222,7 +212,36 @@ func TestVerifierCatchesBrokenPass(t *testing.T) {
 	if err == nil {
 		t.Fatal("compiling corrupted IR with VerifyOn must fail")
 	}
-	if !strings.Contains(err.Error(), "IR verification failed") {
-		t.Errorf("error %q does not mention IR verification", err)
+	if !strings.HasPrefix(err.Error(), "after profile: IR verification failed") {
+		t.Errorf("error %q does not name the pass and IR verification", err)
+	}
+	var ve *ir.VerifyError
+	if !errors.As(err, &ve) {
+		t.Errorf("error %q does not wrap *ir.VerifyError", err)
+	}
+}
+
+// TestSOARAnnotationsFreshAfterPAC pins the post-PAC SOAR re-analysis. PAC
+// moves and widens packet accesses, so the analysis taken before it is
+// stale; the aggregate stage analyzes again before cloning the program
+// into merged bodies. The final whole program must therefore carry the
+// annotations a fresh analysis gives.
+func TestSOARAnnotationsFreshAfterPAC(t *testing.T) {
+	for _, a := range apps.All() {
+		for _, lvl := range driver.Levels()[driver.LevelPAC:] {
+			res := compileApp(t, a, lvl, driver.Config{VerifyIR: driver.VerifyOff})
+			var got, want bytes.Buffer
+			if err := ir.Fprint(&got, res.Prog); err != nil {
+				t.Fatal(err)
+			}
+			fresh := ir.CloneProgram(res.Prog)
+			soar.Analyze(fresh)
+			if err := ir.Fprint(&want, fresh); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s at %v: whole-program SOAR annotations are stale", a.Name, lvl)
+			}
+		}
 	}
 }

@@ -13,7 +13,6 @@ package driver
 
 import (
 	"shangrila/internal/ir"
-	"shangrila/internal/metrics"
 	"shangrila/internal/packet"
 	"shangrila/internal/profiler"
 )
@@ -50,13 +49,8 @@ type Session struct {
 	stats SessionStats
 }
 
-// NewSession clones prog into a pristine base. cfg.Metrics, when nil,
-// becomes a session-private registry that accumulates compile.pass.*
-// counters across compiles.
+// NewSession clones prog into a pristine base.
 func NewSession(prog *ir.Program, cfg Config) (*Session, error) {
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
 	return &Session{
 		cfg:   cfg,
 		base:  ir.CloneProgram(prog),

@@ -39,7 +39,6 @@ func coldCompile(t *testing.T, a *apps.App, cfg driver.Config) *driver.Result {
 		t.Fatal(err)
 	}
 	cfg.ProfileTrace = a.Trace(prog.Types, 7, 256)
-	cfg.Metrics = nil
 	res, err := driver.CompileIR(prog, cfg)
 	if err != nil {
 		t.Fatalf("cold compile: %v", err)

@@ -60,7 +60,7 @@ func TestChurnRunTimeline(t *testing.T) {
 	if c.Samples != churnRecompileSamples || c.P50Nanos <= 0 || c.P99Nanos < c.P50Nanos {
 		t.Errorf("recompile latency %+v: want %d positive, ordered samples", c, churnRecompileSamples)
 	}
-	if want := len(driver.PipelineFor(driver.Config{Level: driver.LevelSWC})); c.Passes != want {
+	if want := len(driver.PassNames()); c.Passes != want {
 		t.Errorf("recompile ran %d passes, want the whole %d-pass pipeline", c.Passes, want)
 	}
 	rep := &BenchReport{Schema: ReportSchema, Churn: []*ChurnResult{r}}

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"shangrila/internal/driver"
 	"shangrila/internal/workload"
@@ -44,7 +46,7 @@ func RegisterCommonFlags(fs *flag.FlagSet) *CommonFlags {
 	f := &CommonFlags{}
 	fs.IntVar(&f.Level, "O", 6, "optimization level 0..6 (BASE..+SWC)")
 	fs.Uint64Var(&f.Seed, "seed", 1234, "traffic generator seed (runs echo the resolved seed; replay with the same value)")
-	fs.StringVar(&f.DumpIR, "dump-ir", "", `dump IR after the named compiler pass (or "all")`)
+	fs.StringVar(&f.DumpIR, "dump-ir", "", "dump IR after the named compiler pass: "+dumpIRNames())
 	fs.StringVar(&f.DumpDir, "dump-ir-dir", "", "write IR dumps to this directory instead of stdout")
 	fs.BoolVar(&f.VerifyIR, "verify-ir", false, "run the IR verifier after every compiler pass")
 	fs.StringVar(&f.Arrival, "arrival", workload.ArrivalFixed, "workload arrival process: fixed|poisson|onoff")
@@ -127,12 +129,20 @@ func (f *CommonFlags) WorkloadSpec() (*workload.Spec, error) {
 	return sp, nil
 }
 
+// dumpIRNames lists the values -dump-ir accepts.
+func dumpIRNames() string {
+	return "all|" + strings.Join(driver.PassNames(), "|")
+}
+
 // Options converts the shared flags into harness options (seed, IR
 // debugging, and the workload engine when -gbps is set). The level is
 // not included — commands that measure a single level pass
 // WithLevel(f.DriverLevel()) themselves, while sweeps iterate levels.
 func (f *CommonFlags) Options() ([]Option, error) {
 	opts := []Option{WithSeed(f.Seed)}
+	if f.DumpIR != "" && f.DumpIR != "all" && !slices.Contains(driver.PassNames(), f.DumpIR) {
+		return nil, fmt.Errorf("-dump-ir %q is not a compiler pass; valid: %s", f.DumpIR, dumpIRNames())
+	}
 	if f.DumpIR != "" || f.DumpDir != "" {
 		pass := f.DumpIR
 		if pass == "" {

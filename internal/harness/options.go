@@ -153,9 +153,9 @@ func WithChromeTrace(w io.Writer) Option {
 	return func(s *settings) { s.chromeTrace = w }
 }
 
-// WithMetricsRegistry hands the measurement a registry via ixp.Config so
-// run-time telemetry (and compile-time pass counters, when the same
-// registry is passed to the driver) share one namespace the caller owns.
+// WithMetricsRegistry hands the measurement a registry via ixp.Config, so
+// the machine's run-time telemetry lands in a registry the caller owns.
+// Compile-time per-pass figures are in the driver report's Passes rows.
 func WithMetricsRegistry(reg *metrics.Registry) Option {
 	return func(s *settings) { s.metricsReg = reg }
 }

@@ -30,20 +30,6 @@ func CtrlQueue(level string) Key { return Key("ctrl." + level + ".queue") }
 // sample instant).
 func RingOcc(i int) Key { return Key(fmt.Sprintf("ring%d.occ", i)) }
 
-// PassRuns counts executions of a named compiler pass.
-func PassRuns(pass string) Key { return Key("compile.pass." + pass + ".runs") }
-
-// PassNanos accumulates a named compiler pass's wall-clock nanoseconds.
-func PassNanos(pass string) Key { return Key("compile.pass." + pass + ".nanos") }
-
-// PassVerifyNanos accumulates the IR-verification nanoseconds charged to a
-// named compiler pass.
-func PassVerifyNanos(pass string) Key { return Key("compile.pass." + pass + ".verify_nanos") }
-
-// PassSizeDelta gauges a named compiler pass's last instruction-count
-// delta (after - before; negative means the pass shrank the program).
-func PassSizeDelta(pass string) Key { return Key("compile.pass." + pass + ".size_delta") }
-
 // StallShareKey is the per-category stall-share gauge family exported from
 // a stall breakdown (category as in ixp.Stall.StallShare, e.g.
 // "mem_queue.dram").
